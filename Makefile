@@ -37,11 +37,12 @@ bench-smoke:
 	sh scripts/bench_smoke.sh
 
 # Time-boxed native fuzzing of every hostile-bytes decoder: the wire
-# frames, the journal event codecs, the engine snapshot codecs, the
-# signature codec, and the I/Q capture reader.
+# frames, the journal event codecs and segment scanner, the engine
+# snapshot codecs, the signature codec, and the I/Q capture reader.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime 30s ./internal/netproto
 	$(GO) test -run '^$$' -fuzz FuzzEventDecoders -fuzztime 15s ./internal/journal
+	$(GO) test -run '^$$' -fuzz FuzzSegmentScan -fuzztime 15s ./internal/journal
 	$(GO) test -run '^$$' -fuzz FuzzFusionSnapshotRestore -fuzztime 15s ./internal/fusion
 	$(GO) test -run '^$$' -fuzz FuzzDefenseSnapshotRestore -fuzztime 15s ./internal/defense
 	$(GO) test -run '^$$' -fuzz FuzzSignatureCodec -fuzztime 15s ./internal/signature

@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"secureangle/internal/fusion"
 	"secureangle/internal/geom"
+	"secureangle/internal/locate"
 	"secureangle/internal/wifi"
 )
 
@@ -175,5 +177,85 @@ func BenchmarkJournalScan(b *testing.B) {
 		if n != records {
 			b.Fatalf("scanned %d/%d", n, records)
 		}
+	}
+}
+
+// incidentBenchPairs is the incident fixture's size: each pair is two
+// AP reports and the fused decision, ~6,000 records in all.
+const incidentBenchPairs = 2000
+
+// writeIncidentFixture writes incidentBenchPairs report/report/decision
+// triples over 64 clients into dir and returns a MAC the query can ask
+// for, the record count, and how many of them carry that MAC.
+func writeIncidentFixture(tb testing.TB, dir string) (mac wifi.Addr, records, matches int) {
+	tb.Helper()
+	j, err := Open(dir, Options{Fsync: FsyncNever, Clock: func() time.Time { return time.Unix(1000, 0) }})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	base := time.Unix(1_700_000_000, 0)
+	mac = wifi.Addr{0x66, 0, 0, 0, 0, 7}
+	recs := make([]Record, 0, 3)
+	for i := 0; i < incidentBenchPairs; i++ {
+		mac := wifi.Addr{0x66, 0, 0, 0, 0, byte(i % 64)}
+		tr := uint64(i + 1)
+		ts := base.Add(time.Duration(i) * time.Millisecond)
+		recs = append(recs[:0],
+			Record{Type: RecReport, TS: ts, Data: EncodeReport(ReportEvent{AP: "ap1", APPos: geom.Point{X: 0, Y: 0}, MAC: mac, Seq: uint64(i), BearingDeg: 30, Trace: tr})},
+			Record{Type: RecReport, TS: ts, Data: EncodeReport(ReportEvent{AP: "ap2", APPos: geom.Point{X: 24, Y: 0}, MAC: mac, Seq: uint64(i), BearingDeg: 150, Trace: tr})},
+			Record{Type: RecDecision, TS: ts, Data: EncodeDecision(fusion.Decision{MAC: mac, Seq: uint64(i), Pos: geom.Point{X: 12, Y: 8}, Decision: locate.Allow, APs: []string{"ap1", "ap2"}, Trace: tr})},
+		)
+		if _, err := j.AppendBatch(recs); err != nil {
+			tb.Fatal(err)
+		}
+		if i%64 == 7 {
+			matches += len(recs)
+		}
+	}
+	if err := j.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return mac, 3 * incidentBenchPairs, matches
+}
+
+// BenchmarkReconstructIncident measures one by-MAC incident query over
+// ~6,000 mixed report/decision records: segment scan, CRC, full decode
+// of every record, and the timeline of the 96 that match.
+func BenchmarkReconstructIncident(b *testing.B) {
+	dir := b.TempDir()
+	mac, records, _ := writeIncidentFixture(b, dir)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inc, err := ReconstructIncident(dir, IncidentQuery{MAC: mac, HasMAC: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if inc.Records != records {
+			b.Fatalf("scanned %d/%d", inc.Records, records)
+		}
+	}
+}
+
+// TestReconstructIncidentAllocs pins the incident read path's
+// allocation budget: at most 3 allocations per scanned record (the
+// decoded events' strings and AP lists; the scan itself allocates
+// nothing per record).
+func TestReconstructIncidentAllocs(t *testing.T) {
+	dir := t.TempDir()
+	mac, records, matches := writeIncidentFixture(t, dir)
+	var matched int
+	allocs := testing.AllocsPerRun(5, func() {
+		inc, err := ReconstructIncident(dir, IncidentQuery{MAC: mac, HasMAC: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		matched = len(inc.Entries)
+	})
+	if matched != matches {
+		t.Fatalf("query matched %d entries, want %d", matched, matches)
+	}
+	if per := allocs / float64(records); per > 3 {
+		t.Fatalf("%.0f allocs per query = %.2f per record, budget 3", allocs, per)
 	}
 }

@@ -205,6 +205,7 @@ func (j *Journal) compactSegment(seg segmentInfo, keep func(Record) bool, pol Co
 		}
 		if keep(rec) {
 			flushRun()
+			rec.Data = append([]byte(nil), rec.Data...) // Data aliases the scan window
 			kept = append(kept, rec)
 			return nil
 		}

@@ -15,7 +15,8 @@ package journal
 //
 // The read path is allocation-free in steady state: each cursor reads
 // the segment in large pooled windows (one ReadAt per batch instead of
-// two per record) and parses record frames in place, so the records a
+// two per record) and parses record frames in place with parseFrame,
+// the parser the recovery scan shares, so the records a
 // Next call returns alias the cursor's window buffer. A batch is valid
 // only until the next Next or Close call — consume or copy it before
 // pulling the next one (the replication sender marshals each batch
@@ -26,12 +27,10 @@ package journal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 )
 
 // cursorBuffers is the pooled scratch one cursor borrows for its
@@ -182,14 +181,11 @@ func (c *Cursor) fill() {
 // current parse position, when enough of its header is visible to know
 // it (used to grow the window past an oversized record).
 func (c *Cursor) stalledFrameSize() int {
-	if c.win-c.pos < recHdrSize {
-		return 0
+	var rec Record
+	if n, st := parseFrame(c.bufs.buf[c.pos:c.win], &rec); st == frameShort && n > recHdrSize {
+		return n
 	}
-	frameLen := binary.BigEndian.Uint32(c.bufs.buf[c.pos : c.pos+4])
-	if frameLen < frameFixed || frameLen > MaxRecordSize {
-		return 0
-	}
-	return recHdrSize + int(frameLen)
+	return 0
 }
 
 type parseStatus uint8
@@ -203,44 +199,24 @@ const (
 // parseRecord decodes one complete frame at the parse position. On
 // parseStall the position is left unchanged so the same offset is
 // retried later (mid-write frames become visible on a later fill).
-func (c *Cursor) parseRecord() (Record, parseStatus, error) {
-	b := c.bufs.buf[:c.win]
-	if c.win-c.pos < recHdrSize {
-		return Record{}, parseStall, nil // tail reached (or header mid-write)
+func (c *Cursor) parseRecord() (rec Record, _ parseStatus, _ error) {
+	n, st := parseFrame(c.bufs.buf[c.pos:c.win], &rec)
+	if st != frameOK {
+		return Record{}, parseStall, nil // tail reached, or a frame mid-write (or a tear recovery will judge)
 	}
-	frameLen := binary.BigEndian.Uint32(b[c.pos : c.pos+4])
-	if frameLen < frameFixed || frameLen > MaxRecordSize {
-		return Record{}, parseStall, nil // not a frame (zero-fill or mid-write)
-	}
-	if c.win-c.pos < recHdrSize+int(frameLen) {
-		return Record{}, parseStall, nil // frame body not flushed (or past the window)
-	}
-	frame := b[c.pos+recHdrSize : c.pos+recHdrSize+int(frameLen)]
-	if crc32.Checksum(frame, crcTable) != binary.BigEndian.Uint32(b[c.pos+4:c.pos+8]) {
-		return Record{}, parseStall, nil // mid-write (or a tear recovery will judge)
-	}
-	rec := Record{
-		Type: RecordType(frame[0]),
-		LSN:  binary.BigEndian.Uint64(frame[1:9]),
-		TS:   time.Unix(0, int64(binary.BigEndian.Uint64(frame[9:17]))),
-		Data: frame[frameFixed:frameLen:frameLen],
-	}
-	c.pos += recHdrSize + int(frameLen)
-	c.off += int64(recHdrSize) + int64(frameLen)
+	c.pos += n
+	c.off += int64(n)
 	if rec.LSN < c.next {
 		return Record{}, parseSkipped, nil // before the subscribe position
 	}
 	if rec.LSN != c.next {
 		return Record{}, parseStall, fmt.Errorf("journal: cursor sequence broke at LSN %d (want %d)", rec.LSN, c.next)
 	}
-	c.next = rec.LSN + 1
-	if rec.Type == RecSkip {
-		skip, err := DecodeSkip(rec.Data)
-		if err != nil || skip.End < rec.LSN {
-			return Record{}, parseStall, fmt.Errorf("journal: cursor hit malformed skip at LSN %d", rec.LSN)
-		}
-		c.next = skip.End + 1
+	covered, ok := lastCovered(&rec)
+	if !ok {
+		return Record{}, parseStall, fmt.Errorf("journal: cursor hit malformed skip at LSN %d", rec.LSN)
 	}
+	c.next = covered + 1
 	return rec, parseOK, nil
 }
 

@@ -211,14 +211,16 @@ func (r *reader) mac() wifi.Addr {
 	return a
 }
 
-func newReader(b []byte) (*reader, error) {
+// newReader returns the reader by value: a pointer would escape and
+// cost one heap allocation per decoded event on every read path.
+func newReader(b []byte) (reader, error) {
 	if len(b) < 1 {
-		return nil, errTruncated
+		return reader{}, errTruncated
 	}
 	if b[0] != eventVersion && b[0] != eventVersionV1 {
-		return nil, fmt.Errorf("journal: unsupported event codec version %d", b[0])
+		return reader{}, fmt.Errorf("journal: unsupported event codec version %d", b[0])
 	}
-	return &reader{b: b[1:], ver: b[0]}, nil
+	return reader{b: b[1:], ver: b[0]}, nil
 }
 
 // trace reads the trailing trace ID a version-2 payload carries;
@@ -331,6 +333,9 @@ func DecodeDecision(b []byte) (fusion.Decision, error) {
 	d.Decision = locate.Decision(r.byte())
 	d.Forced = r.bool()
 	n := int(r.byte())
+	if n > 0 && r.err == nil {
+		d.APs = make([]string, 0, n)
+	}
 	for i := 0; i < n && r.err == nil; i++ {
 		d.APs = append(d.APs, r.str())
 	}

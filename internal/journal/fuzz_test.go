@@ -35,6 +35,10 @@ func encodeEvent(ev any) ([]byte, bool) {
 		return EncodeAck(m), true
 	case ReleaseEvent:
 		return EncodeRelease(m), true
+	case SkipEvent:
+		return EncodeSkip(m), true
+	case EnrollEvent:
+		return EncodeEnroll(m), true
 	default:
 		return nil, false
 	}

@@ -161,46 +161,86 @@ func ReconstructIncident(dir string, q IncidentQuery) (*Incident, error) {
 }
 
 // incidentEntry decodes one record and reports whether it matches q.
-func incidentEntry(rec Record, q IncidentQuery) (TimelineEntry, bool, error) {
-	ev, err := DecodeEvent(rec)
+// Every record is decoded in full (an undecodable payload fails the
+// query), but only a match pays for its Detail text: a query scans
+// thousands of records to find a handful.
+func incidentEntry(rec Record, q IncidentQuery) (e TimelineEntry, match bool, err error) {
+	e = TimelineEntry{TS: rec.TS, LSN: rec.LSN, Type: rec.Type}
+	switch rec.Type {
+	case RecReport:
+		var ev ReportEvent
+		if ev, err = DecodeReport(rec.Data); err != nil {
+			break
+		}
+		e.MAC, e.AP, e.Trace = ev.MAC, ev.AP, ev.Trace
+		if match = q.matches(e.MAC, e.Trace); match {
+			e.Detail = fmt.Sprintf("bearing %.1f° from %s (seq %d)", ev.BearingDeg, ev.AP, ev.Seq)
+		}
+	case RecAlert:
+		var ev defense.SpoofVerdict
+		if ev, err = DecodeAlert(rec.Data); err != nil {
+			break
+		}
+		e.MAC, e.AP, e.Trace = ev.MAC, ev.AP, ev.Trace
+		if match = q.matches(e.MAC, e.Trace); match {
+			e.Detail = fmt.Sprintf("spoof verdict from %s: distance %.2f vs threshold %.2f (stage %s)",
+				ev.AP, ev.Distance, ev.Threshold, ev.Stage)
+		}
+	case RecDecision:
+		var ev fusion.Decision
+		if ev, err = DecodeDecision(rec.Data); err != nil {
+			break
+		}
+		e.MAC, e.Trace = ev.MAC, ev.Trace
+		if match = q.matches(e.MAC, e.Trace); match {
+			e.Detail = fmt.Sprintf("fence decision %s at (%.1f, %.1f) from %d AP(s)",
+				ev.Decision, ev.Pos.X, ev.Pos.Y, len(ev.APs))
+			if ev.Forced {
+				e.Detail += " [forced]"
+			}
+		}
+	case RecDirective:
+		var ev defense.Directive
+		if ev, err = DecodeDirective(rec.Data); err != nil {
+			break
+		}
+		e.MAC, e.AP, e.Trace = ev.MAC, ev.Reporter, ev.Trace
+		if match = q.matches(e.MAC, e.Trace); match {
+			e.Detail = fmt.Sprintf("directive %s: %s -> %s (score %.2f, by %s)",
+				ev.Action, ev.From, ev.To, ev.Score, ev.Reporter)
+		}
+	case RecAck:
+		var ev AckEvent
+		if ev, err = DecodeAck(rec.Data); err != nil {
+			break
+		}
+		e.MAC, e.AP, e.Trace = ev.Directive.MAC, ev.AP, ev.Directive.Trace
+		if match = q.matches(e.MAC, e.Trace); match {
+			e.Detail = fmt.Sprintf("%s acknowledged %s applied", ev.AP, ev.Directive.Action)
+		}
+	case RecRelease:
+		var ev ReleaseEvent
+		if ev, err = DecodeRelease(rec.Data); err != nil {
+			break
+		}
+		e.MAC, e.AP, e.Trace = ev.MAC, ev.Source, ev.Trace
+		if match = q.matches(e.MAC, e.Trace); match {
+			e.Detail = fmt.Sprintf("released (source %s)", ev.Source)
+		}
+	default:
+		// Skip gaps, enrollment mutations: no incident evidence, but
+		// they must still decode.
+		_, err = DecodeEvent(rec)
+	}
 	if err != nil {
 		return TimelineEntry{}, false, fmt.Errorf("LSN %d: %w", rec.LSN, err)
 	}
-	e := TimelineEntry{TS: rec.TS, LSN: rec.LSN, Type: rec.Type}
-	switch ev := ev.(type) {
-	case ReportEvent:
-		e.MAC, e.AP, e.Trace = ev.MAC, ev.AP, ev.Trace
-		e.Detail = fmt.Sprintf("bearing %.1f° from %s (seq %d)", ev.BearingDeg, ev.AP, ev.Seq)
-	case defense.SpoofVerdict:
-		e.MAC, e.AP, e.Trace = ev.MAC, ev.AP, ev.Trace
-		e.Detail = fmt.Sprintf("spoof verdict from %s: distance %.2f vs threshold %.2f (stage %s)",
-			ev.AP, ev.Distance, ev.Threshold, ev.Stage)
-	case fusion.Decision:
-		e.MAC, e.Trace = ev.MAC, ev.Trace
-		e.Detail = fmt.Sprintf("fence decision %s at (%.1f, %.1f) from %d AP(s)",
-			ev.Decision, ev.Pos.X, ev.Pos.Y, len(ev.APs))
-		if ev.Forced {
-			e.Detail += " [forced]"
-		}
-	case defense.Directive:
-		e.MAC, e.AP, e.Trace = ev.MAC, ev.Reporter, ev.Trace
-		e.Detail = fmt.Sprintf("directive %s: %s -> %s (score %.2f, by %s)",
-			ev.Action, ev.From, ev.To, ev.Score, ev.Reporter)
-	case AckEvent:
-		e.MAC, e.AP, e.Trace = ev.Directive.MAC, ev.AP, ev.Directive.Trace
-		e.Detail = fmt.Sprintf("%s acknowledged %s applied", ev.AP, ev.Directive.Action)
-	case ReleaseEvent:
-		e.MAC, e.AP, e.Trace = ev.MAC, ev.Source, ev.Trace
-		e.Detail = fmt.Sprintf("released (source %s)", ev.Source)
-	default:
-		// Skip gaps, enrollment mutations: no incident evidence.
-		return TimelineEntry{}, false, nil
-	}
-	match := q.HasMAC && e.MAC == q.MAC
-	if !match && q.Trace != 0 && e.Trace == q.Trace {
-		match = true
-	}
 	return e, match, nil
+}
+
+// matches reports whether a decoded event joins q's timeline.
+func (q IncidentQuery) matches(mac wifi.Addr, trace uint64) bool {
+	return (q.HasMAC && mac == q.MAC) || (q.Trace != 0 && trace == q.Trace)
 }
 
 // Render formats the incident as the `secureangle incident` report.

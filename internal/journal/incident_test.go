@@ -312,3 +312,42 @@ func TestIncidentSkipGap(t *testing.T) {
 		t.Fatalf("timeline has %d entries, want 2 (skip elided): %+v", len(inc.Entries), inc.Entries)
 	}
 }
+
+// TestIncidentFailsOnUndecodableRecord: a query decodes every record it
+// scans, not just the ones that match, so a record it cannot decode —
+// a truncated payload of any type, or an unknown record type — fails
+// the query with its LSN instead of silently dropping evidence.
+func TestIncidentFailsOnUndecodableRecord(t *testing.T) {
+	mac := wifi.MustParseAddr("66:00:00:00:00:03")
+	other := wifi.MustParseAddr("66:00:00:00:00:04")
+	d := defense.Directive{MAC: other, Action: defense.ActionQuarantine, Reporter: "ap1"}
+	for _, bad := range []Record{
+		{Type: RecReport, Data: EncodeReport(ReportEvent{AP: "ap1", MAC: other})[:9]},
+		{Type: RecAlert, Data: EncodeAlert(defense.SpoofVerdict{AP: "ap1", MAC: other})[:9]},
+		{Type: RecDecision, Data: EncodeDecision(fusion.Decision{MAC: other, APs: []string{"ap1"}})[:20]},
+		{Type: RecDirective, Data: EncodeDirective(d)[:30]},
+		{Type: RecAck, Data: EncodeAck(AckEvent{AP: "ap2", Directive: d})[:12]},
+		{Type: RecRelease, Data: EncodeRelease(ReleaseEvent{MAC: other, Source: "operator"})[:5]},
+		{Type: RecEnroll, Data: []byte{eventVersion, 0}},
+		{Type: RecordType(99), Data: []byte{eventVersion}},
+	} {
+		jdir := t.TempDir()
+		j, err := Open(jdir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Append(Record{Type: RecReport, Data: EncodeReport(ReportEvent{AP: "ap1", MAC: mac, Seq: 1})}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Append(bad); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, err = ReconstructIncident(jdir, IncidentQuery{MAC: mac, HasMAC: true})
+		if err == nil || !strings.Contains(err.Error(), "LSN 2:") {
+			t.Fatalf("%v record with an undecodable payload: err = %v, want LSN 2 failure", bad.Type, err)
+		}
+	}
+}

@@ -819,6 +819,10 @@ func LatestSnapshot(dir string) (lsn uint64, r io.ReadCloser, ok bool, err error
 // the middle of the requested range) returns an error, because silently
 // skipping events would corrupt recovery. fn returning an error aborts
 // the scan with that error.
+//
+// rec.Data aliases the scan's read window and is valid only until fn
+// returns: a callback that keeps a record past that must copy its Data
+// (decoded events are safe to keep; the codecs copy what they return).
 func ReadRecords(dir string, after uint64, fn func(Record) error) error {
 	segs, err := listSegments(dir)
 	if err != nil {
@@ -850,26 +854,101 @@ func ReadRecords(dir string, after uint64, fn func(Record) error) error {
 	return nil
 }
 
-// errStopScan distinguishes fn-aborts from frame errors inside
+// scanAbort distinguishes fn-aborts from frame errors inside
 // scanSegment.
 type scanAbort struct{ err error }
 
 func (a scanAbort) Error() string { return a.err.Error() }
 
+// scanWindow is the read window a segment scan parses frames from in
+// place: one read per window instead of two per record.
+const scanWindow = 16 << 10
+
+var windowPool = sync.Pool{New: func() any {
+	b := make([]byte, scanWindow)
+	return &b
+}}
+
+// frameStatus is parseFrame's verdict on the bytes at a frame boundary.
+type frameStatus uint8
+
+const (
+	frameOK    frameStatus = iota // a complete frame whose CRC checks
+	frameShort                    // the header or frame is not all there (yet)
+	frameBad                      // length out of range or CRC mismatch
+)
+
+// parseFrame parses the record framed at the start of b in place into
+// *rec, whose Data then aliases b. On frameOK, n is the frame's full
+// size (header included); on frameShort, n is how many bytes parsing
+// needs before it can progress (the header, then the whole frame).
+// *rec is written only on frameOK. (It is an out parameter because a
+// returned Record costs the per-record hot loops a stack round trip.)
+func parseFrame(b []byte, rec *Record) (n int, st frameStatus) {
+	if len(b) < recHdrSize {
+		return recHdrSize, frameShort
+	}
+	frameLen := binary.BigEndian.Uint32(b[0:4])
+	if frameLen < frameFixed || frameLen > MaxRecordSize {
+		return 0, frameBad // zero-fill, garbage, or a torn header
+	}
+	n = recHdrSize + int(frameLen)
+	if len(b) < n {
+		return n, frameShort
+	}
+	frame := b[recHdrSize:n:n]
+	if crc32.Checksum(frame, crcTable) != binary.BigEndian.Uint32(b[4:8]) {
+		return 0, frameBad
+	}
+	rec.Type = RecordType(frame[0])
+	rec.LSN = binary.BigEndian.Uint64(frame[1:9])
+	rec.TS = time.Unix(0, int64(binary.BigEndian.Uint64(frame[9:17])))
+	rec.Data = frame[frameFixed:]
+	return n, frameOK
+}
+
+// lastCovered returns the last LSN rec stands for: its own, or for a
+// RecSkip the end of the compaction gap it bridges. ok is false for a
+// malformed gap marker.
+func lastCovered(rec *Record) (uint64, bool) {
+	if rec.Type != RecSkip {
+		return rec.LSN, true // the common case, kept inlinable
+	}
+	return skipEnd(rec)
+}
+
+func skipEnd(rec *Record) (uint64, bool) {
+	skip, err := DecodeSkip(rec.Data)
+	if err != nil || skip.End < rec.LSN {
+		return 0, false
+	}
+	return skip.End, true
+}
+
 // scanSegment reads one segment, calling fn (when non-nil) for records
 // with LSN > after, and returns the last valid LSN seen (firstLSN-1
 // when the segment holds none). Torn or corrupt frames end the scan of
 // this segment without error — the durable prefix is what counts.
+//
+// The segment is read through one pooled window of scanWindow bytes and
+// parsed in place, so a record's Data aliases the window and is valid
+// only while fn runs. A frame larger than the window grows it for the
+// rest of the scan.
 func scanSegment(path string, firstLSN, after uint64, fn func(Record) error) (uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
-	hdr := make([]byte, segHdrSize)
-	if _, err := io.ReadFull(f, hdr); err != nil {
+	pooled := windowPool.Get().(*[]byte)
+	defer windowPool.Put(pooled)
+	buf := *pooled
+	end, err := io.ReadFull(f, buf)
+	eof := err != nil
+	if end < segHdrSize {
 		return firstLSN - 1, nil // torn before the header completed
 	}
+	hdr := buf[:segHdrSize]
 	if string(hdr[:4]) != segMagic {
 		return 0, fmt.Errorf("bad segment magic %q", hdr[:4])
 	}
@@ -880,41 +959,36 @@ func scanSegment(path string, firstLSN, after uint64, fn func(Record) error) (ui
 		return 0, fmt.Errorf("header LSN %d does not match name (%d)", got, firstLSN)
 	}
 	last := firstLSN - 1
-	var rh [recHdrSize]byte
+	pos := segHdrSize
+	var rec Record
 	for {
-		if _, err := io.ReadFull(f, rh[:]); err != nil {
-			return last, nil // end of segment (or torn header)
+		n, st := parseFrame(buf[pos:end], &rec)
+		if st == frameShort && !eof {
+			// Slide the partial frame to the window's start, growing the
+			// window for a frame it cannot hold, and refill behind it.
+			partial := buf[pos:end]
+			if n > len(buf) {
+				buf = make([]byte, n)
+			}
+			end = copy(buf, partial)
+			pos = 0
+			m, err := io.ReadAtLeast(f, buf[end:], n-end)
+			end += m
+			eof = err != nil
+			continue
 		}
-		frameLen := binary.BigEndian.Uint32(rh[0:4])
-		if frameLen < frameFixed || frameLen > MaxRecordSize {
-			return last, nil // torn or zero-filled tail
+		if st != frameOK {
+			return last, nil // end of segment, or a torn, zero-filled or corrupt tail
 		}
-		frame := make([]byte, frameLen)
-		if _, err := io.ReadFull(f, frame); err != nil {
-			return last, nil // torn mid-frame
-		}
-		if crc32.Checksum(frame, crcTable) != binary.BigEndian.Uint32(rh[4:8]) {
-			return last, nil // bit rot or torn write: stop at the tear
-		}
-		rec := Record{
-			Type: RecordType(frame[0]),
-			LSN:  binary.BigEndian.Uint64(frame[1:9]),
-			TS:   time.Unix(0, int64(binary.BigEndian.Uint64(frame[9:17]))),
-			Data: frame[frameFixed:],
-		}
+		pos += n
 		if rec.LSN != last+1 {
 			return last, nil // sequence broke: treat as a tear
 		}
-		last = rec.LSN
-		if rec.Type == RecSkip {
-			// Compaction gap: the record stands in for LSNs
-			// [rec.LSN, End]; the expected sequence resumes after it.
-			skip, err := DecodeSkip(rec.Data)
-			if err != nil || skip.End < rec.LSN {
-				return rec.LSN - 1, nil // malformed gap marker: treat as a tear
-			}
-			last = skip.End
+		covered, ok := lastCovered(&rec)
+		if !ok {
+			return last, nil // malformed gap marker: treat as a tear
 		}
+		last = covered
 		if fn != nil && rec.LSN > after {
 			if err := fn(rec); err != nil {
 				return last, scanAbort{err}

@@ -141,6 +141,13 @@ type Controller struct {
 	parts       atomic.Pointer[partition.Set]
 	unknownAP   atomic.Uint64
 	observerSeq atomic.Uint64
+	// decisionsDropped counts fence-decision deliveries dropped because
+	// the Decisions() channel or a subscriber was full. The drop logs
+	// rate-limit the matching log lines (see dropLog).
+	decisionsDropped atomic.Uint64
+	unknownAPLog     dropLog
+	decisionDropLog  dropLog
+	subDropLog       dropLog
 	// directiveAcks counts applied-countermeasure reports from APs.
 	directiveAcks atomic.Uint64
 
@@ -370,13 +377,19 @@ func (c *Controller) fanOutDecision(d fusion.Decision) bool {
 	select {
 	case c.decision <- out:
 	default:
-		c.logf("controller: decision channel full, dropping %v", out.MAC)
+		c.decisionsDropped.Add(1)
+		if n, ok := c.decisionDropLog.note(time.Now(), 1); ok {
+			c.logf("controller: decision channel full, dropped %d decision(s) (latest %v)", n, out.MAC)
+		}
 	}
 	for id, ch := range c.subs {
 		select {
 		case ch <- out:
 		default:
-			c.logf("controller: subscriber %d behind, dropping %v", id, out.MAC)
+			c.decisionsDropped.Add(1)
+			if n, ok := c.subDropLog.note(time.Now(), 1); ok {
+				c.logf("controller: subscriber(s) behind, dropped %d decision(s) (latest subscriber %d, %v)", n, id, out.MAC)
+			}
 		}
 	}
 	c.mu.Unlock()
@@ -402,6 +415,9 @@ type ControllerStats struct {
 	Defense defense.Stats
 	// UnknownAPDrops counts reports from APs that never sent a Hello.
 	UnknownAPDrops uint64
+	// DecisionsDropped counts fence-decision deliveries dropped because
+	// the Decisions() channel or a subscriber was full.
+	DecisionsDropped uint64
 	// DirectiveAcks counts applied-countermeasure reports from APs.
 	DirectiveAcks uint64
 }
@@ -412,8 +428,9 @@ type ControllerStats struct {
 // (which would freeze the tuning fields early).
 func (c *Controller) Stats() ControllerStats {
 	s := ControllerStats{
-		UnknownAPDrops: c.unknownAP.Load(),
-		DirectiveAcks:  c.directiveAcks.Load(),
+		UnknownAPDrops:   c.unknownAP.Load(),
+		DecisionsDropped: c.decisionsDropped.Load(),
+		DirectiveAcks:    c.directiveAcks.Load(),
 	}
 	if set := c.partsLoaded(); set != nil {
 		s.Stats = set.Stats()
@@ -565,8 +582,8 @@ func (c *Controller) Close() {
 	if set := c.partsLoaded(); set != nil {
 		set.Close()
 		s := set.Stats()
-		c.logf("controller: close: ingested=%d decisions=%d dups=%d expired=%d evictedPending=%d evictedClients=%d forced=%d fuseErrors=%d unknownAP=%d",
-			s.Ingested, s.Decisions, s.DupDropped, s.PendingExpired, s.PendingEvicted, s.ClientsEvicted, s.ForcedTimeouts, s.FuseErrors, c.unknownAP.Load())
+		c.logf("controller: close: ingested=%d decisions=%d dups=%d expired=%d evictedPending=%d evictedClients=%d forced=%d fuseErrors=%d unknownAP=%d decisionsDropped=%d",
+			s.Ingested, s.Decisions, s.DupDropped, s.PendingExpired, s.PendingEvicted, s.ClientsEvicted, s.ForcedTimeouts, s.FuseErrors, c.unknownAP.Load(), c.decisionsDropped.Load())
 		d := set.DefenseStats()
 		c.logf("controller: defense close: spoofs=%d fences=%d tracks=%d quarantines=%d nullSteers=%d releases=%d (decay=%d ttl=%d operator=%d evicted=%d) acks=%d",
 			d.SpoofVerdicts, d.FenceVerdicts, d.TrackVerdicts, d.Quarantines, d.NullSteers, d.Releases, d.DecayReleases, d.TTLReleases, d.OperatorReleases, d.EvictedReleases, c.directiveAcks.Load())
@@ -849,8 +866,7 @@ func (c *Controller) ingest(r Report) {
 	pos, ok := c.apPos[r.APName]
 	c.mu.Unlock()
 	if !ok {
-		c.unknownAP.Add(1)
-		c.logf("controller: report from unknown AP %q dropped", r.APName)
+		c.dropUnknownAP(1, r.APName)
 		return
 	}
 	// Apply before journaling: a snapshot racing this event then either
@@ -865,6 +881,15 @@ func (c *Controller) ingest(r Report) {
 	c.journalAppend(r.MAC, journal.RecReport, journal.EncodeReport(journal.ReportEvent{
 		AP: r.APName, APPos: pos, MAC: r.MAC, Seq: r.SeqNo, BearingDeg: r.BearingDeg, Trace: r.Trace,
 	}))
+}
+
+// dropUnknownAP counts n reports dropped because their AP never sent a
+// Hello, logging at the drop log's rate.
+func (c *Controller) dropUnknownAP(n int, latest string) {
+	c.unknownAP.Add(uint64(n))
+	if total, ok := c.unknownAPLog.note(time.Now(), uint64(n)); ok {
+		c.logf("controller: dropped %d report(s) from unknown AP(s) (latest %q)", total, latest)
+	}
 }
 
 // batchIngestScratch is the pooled per-batch state of ingestBatch: the
@@ -901,13 +926,13 @@ func (c *Controller) ingestBatch(rs []Report) {
 	sc := batchIngestPool.Get().(*batchIngestScratch)
 	// Resolve every report's AP position under one registry lock.
 	bearings := sc.bearings[:0]
-	unknown := 0
+	unknown, unknownName := 0, ""
 	c.mu.Lock()
 	for i := range rs {
 		r := &rs[i]
 		pos, ok := c.apPos[r.APName]
 		if !ok {
-			unknown++
+			unknown, unknownName = unknown+1, r.APName
 			continue
 		}
 		bearings = append(bearings, fusion.Bearing{AP: r.APName, APPos: pos, MAC: r.MAC, Seq: r.SeqNo, Deg: r.BearingDeg, Trace: r.Trace})
@@ -919,8 +944,7 @@ func (c *Controller) ingestBatch(rs []Report) {
 		c.traceSpan(trace.StageIngest, b.Trace, b.MAC, b.AP, 0)
 	}
 	if unknown > 0 {
-		c.unknownAP.Add(uint64(unknown))
-		c.logf("controller: %d report(s) from unknown AP(s) dropped", unknown)
+		c.dropUnknownAP(unknown, unknownName)
 	}
 	if len(bearings) == 0 {
 		c.releaseBatchScratch(sc)

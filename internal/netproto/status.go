@@ -398,6 +398,9 @@ func (c *Controller) RegisterOps(reg *ops.Registry) {
 	reg.RegisterCollector("secureangle_controller_unknown_ap_drops_total",
 		"Reports dropped because the AP never sent a Hello.", ops.KindCounter,
 		func(emit func(string, float64)) { emit("", float64(c.unknownAP.Load())) })
+	reg.RegisterCollector("secureangle_controller_decisions_dropped_total",
+		"Fence-decision deliveries dropped because the Decisions() channel or a subscriber was full.", ops.KindCounter,
+		func(emit func(string, float64)) { emit("", float64(c.decisionsDropped.Load())) })
 	reg.RegisterCollector("secureangle_controller_directive_acks_total",
 		"Applied-countermeasure acknowledgements from APs.", ops.KindCounter,
 		func(emit func(string, float64)) { emit("", float64(c.directiveAcks.Load())) })

@@ -20,7 +20,8 @@ trap 'rm -f "$tmp"' EXIT
 # directive, journal append + group commit (each package's hot path),
 # the ops metrics update the first four carry, partitioned ingest at
 # 1/4/16 partitions (per-report and batched), the replication cursor's
-# streaming throughput, and the per-packet trace span record.
+# streaming throughput, the per-packet trace span record, and the
+# journal read path (recovery scan, incident query).
 go test -run '^$' -benchmem -benchtime "$benchtime" \
     -bench 'BenchmarkPipelinePerPacket$' . | tee -a "$tmp"
 go test -run '^$' -benchmem -benchtime "$benchtime" \
@@ -47,6 +48,10 @@ go test -run '^$' -benchmem -benchtime "$benchtime" \
     -bench 'BenchmarkReplicationCursor$' ./internal/journal | tee -a "$tmp"
 go test -run '^$' -benchmem -benchtime "$benchtime" \
     -bench 'BenchmarkTraceSpan$' ./internal/trace | tee -a "$tmp"
+go test -run '^$' -benchmem -benchtime "$benchtime" \
+    -bench 'BenchmarkJournalScan$' ./internal/journal | tee -a "$tmp"
+go test -run '^$' -benchmem -benchtime "$benchtime" \
+    -bench 'BenchmarkReconstructIncident$' ./internal/journal | tee -a "$tmp"
 
 # Find the newest previous trajectory file (highest PR number below
 # ours) before the new file lands.

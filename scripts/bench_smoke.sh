@@ -53,6 +53,10 @@ go test -run '^$' -benchmem -benchtime 20x \
     -bench 'BenchmarkReplicationCursor$' ./internal/journal | tee -a "$tmp"
 go test -run '^$' -benchmem -benchtime 500000x \
     -bench 'BenchmarkTraceSpan$' ./internal/trace | tee -a "$tmp"
+go test -run '^$' -benchmem -benchtime 50x \
+    -bench 'BenchmarkJournalScan$' ./internal/journal | tee -a "$tmp"
+go test -run '^$' -benchmem -benchtime 20x \
+    -bench 'BenchmarkReconstructIncident$' ./internal/journal | tee -a "$tmp"
 
 awk -v baseline="$baseline" '
 function parse(file,   line, name, ns) {
@@ -79,6 +83,8 @@ BEGIN {
     budget["BenchmarkPartitionIngestBatch/parts=4"] = 16
     budget["BenchmarkPartitionIngestBatch/parts=16"] = 16
     budget["BenchmarkTraceSpan"] = 0  # hard zero: the span record sits on every packet
+    budget["BenchmarkJournalScan"] = 64              # ~13 measured (10,000 records); ~10,015 before in-place scanning
+    budget["BenchmarkReconstructIncident"] = 18000   # 3 per scanned record (6,000); ~10,400 measured, ~51,500 before
 }
 /^Benchmark/ {
     name = $1; sub(/-[0-9]+$/, "", name)
